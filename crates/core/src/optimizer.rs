@@ -55,7 +55,7 @@ use fubar_model::{
 use fubar_topology::{Bandwidth, Topology};
 use fubar_traffic::{Aggregate, AggregateId, TrafficMatrix};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Why an optimization run stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,8 +68,6 @@ pub enum Termination {
     NoImprovement,
     /// The configured commit budget was exhausted.
     CommitLimit,
-    /// The configured wall-clock budget was exhausted.
-    TimeLimit,
 }
 
 /// Optimizer tunables. Defaults reproduce the paper's setup.
@@ -100,9 +98,6 @@ pub struct OptimizerConfig {
     pub objective: Objective,
     /// Flow-model configuration.
     pub model: ModelConfig,
-    /// Optional wall-clock budget ("within the five minute limit for an
-    /// offline system", §3).
-    pub time_limit: Option<Duration>,
     /// Links the optimizer must never route onto (e.g. links the
     /// operator knows are down). The initial allocation avoids them and
     /// the path generator never offers them.
@@ -164,7 +159,6 @@ impl Default for OptimizerConfig {
             path_policy: PathPolicy::ThreePaths,
             objective: Objective::NetworkUtility,
             model: ModelConfig::default(),
-            time_limit: None,
             excluded_links: LinkSet::new(),
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
             incremental: true,
@@ -770,11 +764,6 @@ impl<'a> Optimizer<'a> {
             if commits >= self.config.max_commits {
                 break Termination::CommitLimit;
             }
-            if let Some(limit) = self.config.time_limit {
-                if started.elapsed() >= limit {
-                    break Termination::TimeLimit;
-                }
-            }
 
             // Visit congested links from most to least oversubscribed;
             // stop at the first link where progress is made (Listing 1
@@ -1031,18 +1020,6 @@ mod tests {
         if result.commits == 1 && result.outcome.is_congested() {
             assert_eq!(result.termination, Termination::CommitLimit);
         }
-    }
-
-    #[test]
-    fn time_limit_respected() {
-        let (topo, tm) = diamond(300.0);
-        let cfg = OptimizerConfig {
-            time_limit: Some(Duration::ZERO),
-            ..Default::default()
-        };
-        let result = Optimizer::new(&topo, &tm, cfg).run();
-        assert_eq!(result.termination, Termination::TimeLimit);
-        assert_eq!(result.commits, 0);
     }
 
     #[test]

@@ -458,11 +458,6 @@ pub(crate) fn run_sharded(
         if commits >= opt.config.max_commits {
             break crate::optimizer::Termination::CommitLimit;
         }
-        if let Some(limit) = opt.config.time_limit {
-            if started.elapsed() >= limit {
-                break crate::optimizer::Termination::TimeLimit;
-            }
-        }
 
         // Visit congested links from most to least oversubscribed, as
         // the flat loop does; each link's work runs on its owning
@@ -578,7 +573,6 @@ fn run_pass(
     shard: usize,
     alloc0: &Allocation,
     inc0: &Incumbent,
-    started: Instant,
 ) -> PassRecord {
     // lint:allow(wall-clock): timing observability only; never feeds a decision
     let t0 = Instant::now();
@@ -596,11 +590,6 @@ fn run_pass(
     loop {
         if commits.len() >= opt.config.max_commits {
             break;
-        }
-        if let Some(limit) = opt.config.time_limit {
-            if started.elapsed() >= limit {
-                break;
-            }
         }
         let congested: Vec<LinkId> = incumbent
             .eval
@@ -740,7 +729,7 @@ pub(crate) fn run_parallel_passes(
         let workers = opt.config.pass_threads.max(1).min(jobs.len());
         if workers == 1 {
             for (slot, &s) in records.iter_mut().zip(&jobs) {
-                *slot = Some(run_pass(opt, &partition, s, &initial, &incumbent0, started));
+                *slot = Some(run_pass(opt, &partition, s, &initial, &incumbent0));
             }
         } else {
             let chunk = jobs.len().div_ceil(workers);
@@ -749,14 +738,7 @@ pub(crate) fn run_parallel_passes(
                 for (slot, js) in records.chunks_mut(chunk).zip(jobs.chunks(chunk)) {
                     scope.spawn(move || {
                         for (r, &s) in slot.iter_mut().zip(js) {
-                            *r = Some(run_pass(
-                                opt,
-                                partition_ref,
-                                s,
-                                initial_ref,
-                                inc_ref,
-                                started,
-                            ));
+                            *r = Some(run_pass(opt, partition_ref, s, initial_ref, inc_ref));
                         }
                     });
                 }

@@ -98,7 +98,7 @@ proptest! {
             Termination::CommitLimit => {
                 prop_assert!(result.commits >= 40);
             }
-            Termination::NoImprovement | Termination::TimeLimit => {}
+            Termination::NoImprovement => {}
         }
     }
 

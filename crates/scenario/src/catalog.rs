@@ -103,7 +103,8 @@ mod tests {
     fn every_bundled_scenario_builds() {
         for (name, _) in CATALOG {
             let s = load(name).unwrap();
-            crate::driver::build(&s, s.seed).unwrap_or_else(|e| panic!("{name} must build: {e}"));
+            crate::driver::build(&s, s.seed, &Default::default())
+                .unwrap_or_else(|e| panic!("{name} must build: {e}"));
         }
     }
 }

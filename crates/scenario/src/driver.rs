@@ -4,13 +4,16 @@
 //! previous allocation (`Optimizer::run_from`), so tracking a small
 //! perturbation costs a handful of commits instead of a full run.
 //!
-//! [`build`] turns a declarative [`Scenario`] into a ready
-//! [`Engine`]; [`run`] goes all the way to a [`ScenarioLog`].
+//! [`build`] turns a declarative [`Scenario`] plus a [`RunConfig`] into
+//! a ready [`Engine`]; [`run_with`] goes all the way to a
+//! [`ScenarioLog`] and the run's [`RunStats`], and [`run`] is the
+//! default-config one-liner.
 
 use crate::engine::{Engine, EventConsumer, Measure};
 use crate::event::{Event, EventKind};
 use crate::log::ScenarioLog;
 use crate::spec::{Action, ChaosSpec, Scenario, TopologySpec};
+use crate::stats::RunStats;
 use crate::stochastic::{ChurnSource, FailureSource};
 use fubar_core::{Allocation, ShardRunStats, Sharding};
 use fubar_graph::LinkId;
@@ -20,7 +23,7 @@ use fubar_topology::{catalog as topo_catalog, format as topo_format, generators,
 use fubar_traffic::{workload, AggregateId, TrafficMatrix, WorkloadConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Runtime state behind the scenario's [`ChaosSpec`]. All of it is
 /// deterministic: the drop coin has its own directive-declared seed,
@@ -49,9 +52,7 @@ pub struct SdnConsumer {
     fabric: Fabric,
     estimator: Estimator,
     /// The re-optimization mechanics (optimizer config, warm-start
-    /// gating) — shared with `fubar_sdn::ClosedLoop` so the two loops
-    /// cannot drift apart; the event engine drives the cadence, so the
-    /// controller's epoch schedule fields are unused here.
+    /// gating); the event engine drives the cadence.
     controller: FubarController,
     previous: Option<Allocation>,
     /// Baseline flow counts from the generated workload (zeroed while
@@ -423,7 +424,7 @@ fn at_line(line: usize, e: BuildError) -> BuildError {
 /// `fubar_topology::catalog` by file stem — so committed catalog
 /// scenarios referencing `topologies/*.topo` run from anywhere, and an
 /// on-disk file always wins over the embedded copy.
-pub fn load_file_topology(path: &str, base: Option<&Path>) -> Result<Topology, BuildError> {
+fn load_file_topology(path: &str, base: Option<&Path>) -> Result<Topology, BuildError> {
     let candidates = [base.map(|b| b.join(path)), Some(path.into())];
     for candidate in candidates.into_iter().flatten() {
         if candidate.is_file() {
@@ -484,16 +485,7 @@ fn aggregates_on(
 
 /// The concrete `(topology, traffic matrix)` a scenario resolves to for
 /// one seed — exposed so tests and tools can probe the same inputs the
-/// engine runs on. File topologies resolve as in [`inputs_at`] with no
-/// scenario directory.
-pub fn inputs(
-    scenario: &Scenario,
-    seed: u64,
-) -> Result<(Topology, fubar_traffic::TrafficMatrix), BuildError> {
-    inputs_at(scenario, seed, None)
-}
-
-/// Like [`inputs`], resolving `topology file` paths relative to `base`
+/// engine runs on. `topology file` paths resolve relative to `base`
 /// (the directory the `.scn` file was loaded from) before the working
 /// directory and the bundled catalog.
 pub fn inputs_at(
@@ -553,32 +545,41 @@ impl OracleMode {
     }
 }
 
-/// Execution-parallelism knobs for a scenario run (`fubar-cli scenario
-/// run --fill-threads/--parallel-passes/--pass-threads`). These select
-/// *how* the work is scheduled, never *what* is computed: the parallel
-/// water-filling merge is bitwise identical to the serial fill, and
-/// per-component optimizer passes are bitwise invariant under
-/// `pass_threads` — so the log for a given `(spec, seed, oracle,
-/// parallel_passes)` is byte-identical at **any** thread count, an
-/// invariant the CI catalog replay `cmp`s end to end. (Turning
-/// `parallel_passes` itself on or off legitimately changes the commit
-/// sequence; the threads never do.)
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ParallelKnobs {
+/// How a scenario run executes (`fubar-cli scenario run --oracle
+/// --fill-threads --parallel-passes --pass-threads`). None of it is
+/// part of the scenario: `oracle` selects an execution path whose log
+/// is byte-identical to the default's, and the thread counts schedule
+/// the same computation across workers — the parallel water-filling
+/// merge is bitwise identical to the serial fill, and per-component
+/// optimizer passes are bitwise invariant under `pass_threads`. So the
+/// log for a given `(spec, seed, parallel_passes)` is byte-identical in
+/// every mode at **any** thread count, an invariant the CI catalog
+/// replay `cmp`s end to end. (Turning `parallel_passes` itself on or
+/// off legitimately changes the commit sequence; nothing else does.)
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunConfig {
+    /// Measurement + scoring path (see [`OracleMode`]).
+    pub oracle: OracleMode,
+    /// Directory `topology file` paths resolve against first (the
+    /// `.scn` file's directory); see [`inputs_at`].
+    pub base: Option<PathBuf>,
     /// Worker threads for fabric measurement *and* optimizer incumbent
     /// water-filling; 1 keeps the serial fill.
     pub fill_threads: usize,
     /// Run isolated region shards' optimizer passes concurrently
-    /// (requires incremental scoring and the network-utility
-    /// objective; see `fubar_core::OptimizerConfig::parallel_passes`).
+    /// (`fubar_core::OptimizerConfig::parallel_passes`). Needs
+    /// incremental scoring, so it is rejected under
+    /// [`OracleMode::Full`].
     pub parallel_passes: bool,
     /// Worker threads for those passes; 1 runs them sequentially.
     pub pass_threads: usize,
 }
 
-impl Default for ParallelKnobs {
+impl Default for RunConfig {
     fn default() -> Self {
-        ParallelKnobs {
+        RunConfig {
+            oracle: OracleMode::Sharded,
+            base: None,
             fill_threads: 1,
             parallel_passes: false,
             pass_threads: 1,
@@ -586,69 +587,27 @@ impl Default for ParallelKnobs {
     }
 }
 
-/// Builds the engine for `scenario`, overriding its default seed with
-/// `seed`. Everything downstream (workload, measurement noise, churn,
-/// failures) derives deterministically from that one number.
-pub fn build(scenario: &Scenario, seed: u64) -> Result<Engine<SdnConsumer>, BuildError> {
-    build_with(scenario, seed, true)
-}
-
-/// Like [`build`], but selecting the incremental/full-recompute mode
-/// for *both* hot paths: fabric measurement (every probe re-measures
-/// the world) and optimizer candidate scoring
-/// (`OptimizerConfig::incremental`). `false` is the oracle mode the
-/// equality property tests and the CI cross-mode `cmp` compare against.
-/// `true` maps to [`OracleMode::Sharded`] — legal because sharded and
-/// flat runs are bitwise identical.
-pub fn build_with(
+/// Builds the engine for `scenario` under `config`, overriding the
+/// scenario's default seed with `seed`. Everything downstream
+/// (workload, measurement noise, churn, failures) derives
+/// deterministically from that one number. The timeline is validated
+/// eagerly, as soon as the topology is known — unknown `surge` /
+/// `fail` / `arrive` / `depart` endpoints fail the build with the
+/// offending `.scn` line number instead of an opaque late failure.
+pub fn build(
     scenario: &Scenario,
     seed: u64,
-    incremental: bool,
+    config: &RunConfig,
 ) -> Result<Engine<SdnConsumer>, BuildError> {
-    build_at(scenario, seed, incremental, None)
-}
-
-/// Like [`build_with`], resolving `topology file` paths relative to
-/// `base` (the `.scn` file's directory).
-pub fn build_at(
-    scenario: &Scenario,
-    seed: u64,
-    incremental: bool,
-    base: Option<&Path>,
-) -> Result<Engine<SdnConsumer>, BuildError> {
-    let mode = if incremental {
-        OracleMode::Sharded
-    } else {
-        OracleMode::Full
-    };
-    build_oracle_at(scenario, seed, mode, base)
-}
-
-/// Like [`build_at`], with the full three-way oracle selection. The
-/// timeline is validated eagerly here, as soon as the topology is
-/// known — unknown `surge` / `fail` / `arrive` / `depart` endpoints
-/// fail the build with the offending `.scn` line number instead of an
-/// opaque late failure.
-pub fn build_oracle_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-) -> Result<Engine<SdnConsumer>, BuildError> {
-    build_oracle_knobs_at(scenario, seed, mode, base, ParallelKnobs::default())
-}
-
-/// Like [`build_oracle_at`], additionally applying execution
-/// [`ParallelKnobs`] to the fabric's measurement path and the
-/// optimizer.
-pub fn build_oracle_knobs_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-    knobs: ParallelKnobs,
-) -> Result<Engine<SdnConsumer>, BuildError> {
-    let (topo, tm) = inputs_at(scenario, seed, base)?;
+    if config.parallel_passes && config.oracle == OracleMode::Full {
+        // The optimizer honours the flag only with incremental scoring,
+        // so the full oracle would silently run the plain loop, and its
+        // log could not check the parallel-passes run it appears to.
+        return Err(BuildError(
+            "parallel passes need incremental scoring, not the full oracle".to_string(),
+        ));
+    }
+    let (topo, tm) = inputs_at(scenario, seed, config.base.as_deref())?;
 
     // Resolve the timeline against the concrete topology and matrix
     // before anything is consumed by the fabric.
@@ -745,27 +704,28 @@ pub fn build_oracle_knobs_at(
     }
 
     let mut fabric = Fabric::new(topo, tm, scenario.epoch);
-    fabric.set_incremental(mode.incremental());
-    fabric.set_fill_threads(knobs.fill_threads);
+    fabric.set_incremental(config.oracle.incremental());
+    fabric.set_fill_threads(config.fill_threads);
     let mut consumer = SdnConsumer::new(fabric, seed ^ 0x5eed, scenario.reoptimize.warm_start);
     // Oracle mode covers *both* incremental hot paths: full-recompute
     // fabric measurement and full-recompute candidate scoring in the
     // optimizer — a cross-mode log `cmp` therefore checks the whole
     // stack of bitwise-equality invariants end to end. Sharding is a
     // third axis on the scoring path only: `Sharded` routes the same
-    // greedy loop through per-region subproblems. The parallel knobs
+    // greedy loop through per-region subproblems. The thread counts
     // are a fourth: they reschedule the same computation across worker
     // threads without changing a byte of the log.
-    consumer.controller.optimizer.incremental = mode.incremental();
-    consumer.controller.optimizer.sharding = mode.sharding();
-    consumer.controller.optimizer.fill_threads = knobs.fill_threads.max(1);
-    consumer.controller.optimizer.parallel_passes = knobs.parallel_passes;
-    consumer.controller.optimizer.pass_threads = knobs.pass_threads.max(1);
+    let optimizer = &mut consumer.controller.optimizer;
+    optimizer.incremental = config.oracle.incremental();
+    optimizer.sharding = config.oracle.sharding();
+    optimizer.fill_threads = config.fill_threads.max(1);
+    optimizer.parallel_passes = config.parallel_passes;
+    optimizer.pass_threads = config.pass_threads.max(1);
     // The anytime budget is a move-count deadline — the one optimizer
     // deadline that is bit-identical at any thread count — mapped
     // straight onto `OptimizerConfig::max_commits`.
     if let Some(budget) = scenario.chaos.optimize_budget {
-        consumer.controller.optimizer.max_commits = budget;
+        optimizer.max_commits = budget;
     }
     consumer.set_chaos(scenario.chaos.clone());
 
@@ -793,115 +753,30 @@ pub fn build_oracle_knobs_at(
     ))
 }
 
-/// Runs `scenario` end to end with `seed` and returns the log.
-pub fn run(scenario: &Scenario, seed: u64) -> Result<ScenarioLog, BuildError> {
-    run_with(scenario, seed, true)
-}
-
-/// Like [`run`], but selecting the measurement + scoring mode (see
-/// [`build_with`]). Incremental and full runs of the same `(spec,
-/// seed)` must produce byte-identical logs.
+/// Runs `scenario` end to end with `seed` under `config` and returns
+/// the log plus the run's performance statistics: per-event
+/// measurement/re-optimization timing percentiles, the optimizer's peak
+/// scratch sizes, per-shard accumulators under [`OracleMode::Sharded`]
+/// (the last entry is the inter-region trunk core), and per-worker fill
+/// blocks when `fill_threads > 1`. Wall-clock numbers live only in the
+/// stats; the log is a pure function of `(spec, seed, parallel_passes)`.
 pub fn run_with(
     scenario: &Scenario,
     seed: u64,
-    incremental: bool,
-) -> Result<ScenarioLog, BuildError> {
-    run_at(scenario, seed, incremental, None)
-}
-
-/// Like [`run_with`], resolving `topology file` paths relative to
-/// `base` (see [`build_at`]).
-pub fn run_at(
-    scenario: &Scenario,
-    seed: u64,
-    incremental: bool,
-    base: Option<&Path>,
-) -> Result<ScenarioLog, BuildError> {
-    Ok(build_at(scenario, seed, incremental, base)?.run(&scenario.name, seed))
-}
-
-/// Like [`run_at`], with the full three-way oracle selection
-/// (`fubar-cli scenario run --oracle sharded|flat|full`).
-pub fn run_oracle_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-) -> Result<ScenarioLog, BuildError> {
-    Ok(build_oracle_at(scenario, seed, mode, base)?.run(&scenario.name, seed))
-}
-
-/// Like [`run_oracle_at`], additionally applying [`ParallelKnobs`].
-/// For a fixed `(spec, seed, mode, parallel_passes)` the log is
-/// byte-identical at any `fill_threads`/`pass_threads` count.
-pub fn run_oracle_knobs_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-    knobs: ParallelKnobs,
-) -> Result<ScenarioLog, BuildError> {
-    Ok(build_oracle_knobs_at(scenario, seed, mode, base, knobs)?.run(&scenario.name, seed))
-}
-
-/// Like [`run_with`], but also returns the run's performance
-/// statistics: per-event measurement/re-optimization timing percentiles
-/// and the optimizer's peak scratch sizes (`fubar-cli scenario run
-/// --stats`). The log is identical to [`run_with`]'s.
-pub fn run_with_stats(
-    scenario: &Scenario,
-    seed: u64,
-    incremental: bool,
-) -> Result<(ScenarioLog, crate::stats::RunStats), BuildError> {
-    run_with_stats_at(scenario, seed, incremental, None)
-}
-
-/// Like [`run_with_stats`], resolving `topology file` paths relative
-/// to `base` (see [`build_at`]).
-pub fn run_with_stats_at(
-    scenario: &Scenario,
-    seed: u64,
-    incremental: bool,
-    base: Option<&Path>,
-) -> Result<(ScenarioLog, crate::stats::RunStats), BuildError> {
-    let mode = if incremental {
-        OracleMode::Sharded
-    } else {
-        OracleMode::Full
-    };
-    run_with_stats_oracle_at(scenario, seed, mode, base)
-}
-
-/// Like [`run_with_stats_at`], with the full three-way oracle
-/// selection. Under [`OracleMode::Sharded`] the returned stats carry
-/// per-shard commit counts, score timings, and scratch peaks (the last
-/// entry is the inter-region trunk core).
-pub fn run_with_stats_oracle_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-) -> Result<(ScenarioLog, crate::stats::RunStats), BuildError> {
-    run_with_stats_oracle_knobs_at(scenario, seed, mode, base, ParallelKnobs::default())
-}
-
-/// Like [`run_with_stats_oracle_at`], additionally applying
-/// [`ParallelKnobs`]; with `fill_threads > 1` the stats carry
-/// per-worker parallel-fill blocks (fills run and peak component
-/// sizes per fill worker).
-pub fn run_with_stats_oracle_knobs_at(
-    scenario: &Scenario,
-    seed: u64,
-    mode: OracleMode,
-    base: Option<&Path>,
-    knobs: ParallelKnobs,
-) -> Result<(ScenarioLog, crate::stats::RunStats), BuildError> {
-    let engine = build_oracle_knobs_at(scenario, seed, mode, base, knobs)?;
+    config: &RunConfig,
+) -> Result<(ScenarioLog, RunStats), BuildError> {
+    let engine = build(scenario, seed, config)?;
     let (log, mut stats, consumer) = engine.run_instrumented(&scenario.name, seed);
     stats.scratch = consumer.scratch_stats();
     stats.shards = consumer.shard_stats().to_vec();
     stats.fill_workers = consumer.fabric().fill_worker_stats();
     Ok((log, stats))
+}
+
+/// Runs `scenario` end to end with `seed` on the default
+/// [`RunConfig`] and returns the log.
+pub fn run(scenario: &Scenario, seed: u64) -> Result<ScenarioLog, BuildError> {
+    Ok(run_with(scenario, seed, &RunConfig::default())?.0)
 }
 
 #[cfg(test)]
@@ -920,6 +795,20 @@ mod tests {
              {extra}"
         ))
         .unwrap()
+    }
+
+    /// The full-recompute oracle's log text.
+    fn run_full(spec: &Scenario, seed: u64) -> String {
+        let full = RunConfig {
+            oracle: OracleMode::Full,
+            ..Default::default()
+        };
+        run_with(spec, seed, &full).unwrap().0.to_text()
+    }
+
+    /// The log text under execution knobs.
+    fn run_knobs(spec: &Scenario, seed: u64, config: RunConfig) -> String {
+        run_with(spec, seed, &config).unwrap().0.to_text()
     }
 
     #[test]
@@ -1008,8 +897,7 @@ mod tests {
         );
         // The single-aggregate group plumbing upholds the whole-stack
         // bitwise invariant: the oracle run's log is byte-identical.
-        let full = run_with(&spec, 4, false).unwrap();
-        assert_eq!(log.to_text(), full.to_text());
+        assert_eq!(log.to_text(), run_full(&spec, 4));
     }
 
     #[test]
@@ -1017,21 +905,15 @@ mod tests {
         // Fill-thread count must never alter a log: the parallel fill
         // is bitwise-equal to the serial one, event by event.
         let spec = ring_spec("arrivals rate 0.2 max-flows 30\ndepartures prob 0.2\n");
-        let serial = run_oracle_knobs_at(&spec, 7, OracleMode::Sharded, None, Default::default())
-            .unwrap()
-            .to_text();
-        let filled = run_oracle_knobs_at(
+        let serial = run_knobs(&spec, 7, RunConfig::default());
+        let filled = run_knobs(
             &spec,
             7,
-            OracleMode::Sharded,
-            None,
-            ParallelKnobs {
+            RunConfig {
                 fill_threads: 4,
                 ..Default::default()
             },
-        )
-        .unwrap()
-        .to_text();
+        );
         assert_eq!(serial, filled);
 
         // With per-component passes enabled, the pass-worker count must
@@ -1047,33 +929,37 @@ mod tests {
              reoptimize every 15s warmup 5s\n",
         )
         .unwrap();
-        let wide = run_oracle_knobs_at(
+        let wide = run_knobs(
             &spec,
             11,
-            OracleMode::Sharded,
-            None,
-            ParallelKnobs {
+            RunConfig {
                 fill_threads: 4,
                 parallel_passes: true,
                 pass_threads: 4,
+                ..Default::default()
             },
-        )
-        .unwrap()
-        .to_text();
-        let narrow = run_oracle_knobs_at(
+        );
+        let narrow = run_knobs(
             &spec,
             11,
-            OracleMode::Sharded,
-            None,
-            ParallelKnobs {
-                fill_threads: 1,
+            RunConfig {
                 parallel_passes: true,
-                pass_threads: 1,
+                ..Default::default()
             },
-        )
-        .unwrap()
-        .to_text();
+        );
         assert_eq!(wide, narrow);
+
+        // The full oracle cannot run per-component passes, so the pair
+        // is refused instead of silently running the plain loop.
+        let refused = RunConfig {
+            oracle: OracleMode::Full,
+            parallel_passes: true,
+            ..Default::default()
+        };
+        let Err(e) = build(&spec, 11, &refused) else {
+            panic!("parallel passes under the full oracle must fail the build")
+        };
+        assert!(e.0.contains("full oracle"), "{e}");
     }
 
     #[test]
@@ -1101,7 +987,7 @@ mod tests {
         assert_eq!(executed, vec![15.0, 80.0], "warmup run, then the wake");
         // Chaos replays byte-identically and bitwise across oracles.
         assert_eq!(log.to_text(), run(&spec, 3).unwrap().to_text());
-        assert_eq!(log.to_text(), run_with(&spec, 3, false).unwrap().to_text());
+        assert_eq!(log.to_text(), run_full(&spec, 3));
     }
 
     #[test]
@@ -1122,7 +1008,7 @@ mod tests {
         {
             assert_eq!(commit.time_s, reopt.time_s + 2.0);
         }
-        assert_eq!(log.to_text(), run_with(&spec, 5, false).unwrap().to_text());
+        assert_eq!(log.to_text(), run_full(&spec, 5));
 
         // p=1: every install is lost; the boot rules serve forever.
         let spec = ring_spec("install delay 2s\ninstall drop 1 seed 9\n");
@@ -1138,7 +1024,7 @@ mod tests {
                 .count(),
             3
         );
-        assert_eq!(log.to_text(), run_with(&spec, 5, false).unwrap().to_text());
+        assert_eq!(log.to_text(), run_full(&spec, 5));
 
         // p=0 with only the coin configured: commits still fire (at the
         // same time as the reopt, strictly after it in event order).
@@ -1165,7 +1051,7 @@ mod tests {
             );
         }
         assert_eq!(log.to_text(), run(&spec, 6).unwrap().to_text());
-        assert_eq!(log.to_text(), run_with(&spec, 6, false).unwrap().to_text());
+        assert_eq!(log.to_text(), run_full(&spec, 6));
     }
 
     #[test]
@@ -1185,7 +1071,7 @@ mod tests {
         let spec = ring_spec("at 10s surge n0 zzz x2\n");
         let bad = &spec.timeline[0];
         assert!(bad.line > 0);
-        let Err(e) = build(&spec, 1) else {
+        let Err(e) = build(&spec, 1, &RunConfig::default()) else {
             panic!("unknown surge endpoint must fail the build")
         };
         assert!(
@@ -1204,7 +1090,7 @@ mod tests {
             },
             line: 0,
         });
-        let Err(e) = build(&spec, 1) else {
+        let Err(e) = build(&spec, 1, &RunConfig::default()) else {
             panic!("programmatic ghost endpoint must fail the build")
         };
         assert!(!e.0.contains("scenario line"), "{e}");
@@ -1232,8 +1118,7 @@ mod tests {
         let a = run(&spec, 9).unwrap();
         let b = run(&spec, 9).unwrap();
         assert_eq!(a.to_text(), b.to_text());
-        let full = run_with(&spec, 9, false).unwrap();
-        assert_eq!(a.to_text(), full.to_text());
+        assert_eq!(a.to_text(), run_full(&spec, 9));
         assert!(a.records.iter().any(|r| r.what.starts_with("fail")));
 
         // Unknown node names on a *file* topology also carry the line.
@@ -1241,7 +1126,7 @@ mod tests {
             "scenario nren_bad\ntopology file topologies/nren-eu.topo\nat 5s fail London Narnia\n",
         )
         .unwrap();
-        let Err(e) = build(&bad, 1) else {
+        let Err(e) = build(&bad, 1, &RunConfig::default()) else {
             panic!("unknown node on a file topology must fail the build")
         };
         assert!(e.0.contains("scenario line 3"), "{e}");
@@ -1249,7 +1134,7 @@ mod tests {
 
         // A missing file is a clean build error naming the path.
         let missing = Scenario::parse("scenario m\ntopology file no/such/thing.topo\n").unwrap();
-        let Err(e) = build(&missing, 1) else {
+        let Err(e) = build(&missing, 1, &RunConfig::default()) else {
             panic!("missing topology file must fail the build")
         };
         assert!(e.0.contains("no/such/thing.topo"), "{e}");
@@ -1276,7 +1161,7 @@ mod tests {
         assert_eq!(t.node_count(), 4);
         assert!(t.node("n0").is_ok());
         // Without it: falls back to the bundled 25-node NREN.
-        let (t, _) = inputs(&spec, 1).unwrap();
+        let (t, _) = inputs_at(&spec, 1, None).unwrap();
         assert_eq!(t.node_count(), 25);
         std::fs::remove_dir_all(&dir).ok();
     }

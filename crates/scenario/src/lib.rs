@@ -14,8 +14,8 @@
 //! * **[`event`]** — typed events and a binary-heap [`EventQueue`]
 //!   totally ordered by `(time, seq)`;
 //! * **[`stochastic`]** — seeded sources: Poisson flow arrivals and
-//!   Binomial departures (reusing `fubar_sdn`'s samplers), Weibull
-//!   failure/repair processes, and diurnal demand modulation;
+//!   Binomial departures, Weibull failure/repair processes, and diurnal
+//!   demand modulation;
 //! * **[`engine`] + [`driver`]** — the engine pops events and drives an
 //!   [`EventConsumer`]; the bundled [`SdnConsumer`] applies them to a
 //!   `fubar_sdn::Fabric` with a periodically re-optimizing controller
@@ -50,12 +50,7 @@ pub mod stats;
 pub mod stochastic;
 
 pub use chaos::{score_log, search, SearchOutcome};
-pub use driver::{
-    build, build_at, build_oracle_at, build_oracle_knobs_at, build_with, load_file_topology, run,
-    run_at, run_oracle_at, run_oracle_knobs_at, run_with, run_with_stats, run_with_stats_at,
-    run_with_stats_oracle_at, run_with_stats_oracle_knobs_at, BuildError, OracleMode,
-    ParallelKnobs, SdnConsumer,
-};
+pub use driver::{build, inputs_at, run, run_with, BuildError, OracleMode, RunConfig, SdnConsumer};
 pub use engine::{Engine, EventConsumer, Measure};
 pub use event::{Event, EventKind, EventQueue};
 pub use log::{EventRecord, ScenarioLog};
@@ -64,4 +59,6 @@ pub use spec::{
     ReoptimizeSpec, Scenario, TimelineEvent, TopologySpec, WorkloadSpec,
 };
 pub use stats::{Percentiles, RunStats};
-pub use stochastic::{diurnal_factor, sample_weibull, ChurnSource, FailureSource};
+pub use stochastic::{
+    diurnal_factor, sample_departures, sample_poisson, sample_weibull, ChurnSource, FailureSource,
+};

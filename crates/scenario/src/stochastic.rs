@@ -6,19 +6,50 @@
 //!
 //! * **flow churn** — per aggregate and epoch, Poisson arrivals with
 //!   mean `rate · baseline · diurnal(t)` and Binomial departures, each
-//!   event placed uniformly at random inside the epoch (reusing
-//!   `fubar_sdn`'s arrival-process samplers rather than reimplementing
-//!   them);
+//!   event placed uniformly at random inside the epoch;
 //! * **link failures** — Weibull inter-failure and repair times, victims
 //!   drawn uniformly among currently healthy duplex links;
 //! * **diurnal modulation** — a deterministic sinusoid scaling the
 //!   arrival mean (no RNG of its own).
 
 use crate::spec::{ArrivalSpec, DepartureSpec, DiurnalSpec, FailureSpec};
-use fubar_sdn::{sample_departures, sample_poisson};
 use fubar_topology::Delay;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Draws a Poisson variate with the given mean (Knuth's product method —
+/// exact, and fast for the per-event means used here, which are ≪ 30).
+/// The memoryless law the scenario engine uses for flow arrivals.
+///
+/// # Panics
+///
+/// Panics on a negative or non-finite mean.
+pub fn sample_poisson<R: Rng>(rng: &mut R, mean: f64) -> u64 {
+    assert!(mean >= 0.0 && mean.is_finite(), "mean must be non-negative");
+    let limit = (-mean).exp();
+    let mut k = 0u64;
+    let mut product = rng.gen::<f64>();
+    while product > limit && k < 10_000 {
+        k += 1;
+        product *= rng.gen::<f64>();
+    }
+    k
+}
+
+/// Draws how many of `live` flows depart, each independently with
+/// probability `prob` — Binomial(live, prob) as explicit Bernoulli
+/// trials, one uniform draw per live flow.
+///
+/// # Panics
+///
+/// Panics when `prob` is outside `[0, 1]`.
+pub fn sample_departures<R: Rng>(rng: &mut R, live: u64, prob: f64) -> u64 {
+    assert!(
+        (0.0..=1.0).contains(&prob),
+        "departure probability must be in [0,1]"
+    );
+    (0..live).filter(|_| rng.gen::<f64>() < prob).count() as u64
+}
 
 /// Inverse-CDF Weibull draw: `scale · (−ln(1−u))^(1/shape)`.
 pub fn sample_weibull<R: Rng>(rng: &mut R, shape: f64, scale: Delay) -> Delay {
@@ -174,6 +205,39 @@ impl FailureSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn poisson_sampler_has_the_right_mean() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let n = 20_000;
+        for mean in [0.5, 2.0, 8.0] {
+            let total: u64 = (0..n).map(|_| sample_poisson(&mut rng, mean)).sum();
+            let observed = total as f64 / n as f64;
+            assert!(
+                (observed - mean).abs() < 0.15 * mean.max(1.0),
+                "poisson mean {mean}: observed {observed}"
+            );
+        }
+        assert_eq!(sample_poisson(&mut rng, 0.0), 0);
+    }
+
+    #[test]
+    fn departure_sampler_is_binomial_shaped() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let n = 5_000;
+        let total: u64 = (0..n).map(|_| sample_departures(&mut rng, 40, 0.25)).sum();
+        let observed = total as f64 / n as f64;
+        assert!((observed - 10.0).abs() < 0.5, "observed {observed}");
+        assert_eq!(sample_departures(&mut rng, 0, 0.5), 0);
+        assert_eq!(sample_departures(&mut rng, 17, 1.0), 17);
+    }
+
+    #[test]
+    #[should_panic(expected = "departure probability")]
+    fn bad_departure_probability_rejected() {
+        let mut rng = StdRng::seed_from_u64(1);
+        sample_departures(&mut rng, 3, 1.5);
+    }
 
     #[test]
     fn weibull_shape_one_is_exponential_mean_scale() {

@@ -10,11 +10,21 @@
 //!    recompute — at the fabric level after every single mutation, and
 //!    end to end as byte-identical scenario logs.
 
-use fubar_scenario::{catalog, driver, run, run_with, EventKind, EventQueue, Scenario};
+use fubar_scenario::{
+    catalog, driver, run, run_with, EventKind, EventQueue, OracleMode, RunConfig, Scenario,
+};
 use fubar_sdn::{EpochReport, Fabric, RuleSet};
 use fubar_topology::{Bandwidth, Delay};
 use fubar_traffic::AggregateId;
 use proptest::prelude::*;
+
+/// The full-recompute oracle's run configuration.
+fn full_oracle() -> RunConfig {
+    RunConfig {
+        oracle: OracleMode::Full,
+        ..Default::default()
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -98,13 +108,9 @@ proptest! {
              arrivals rate {rate} max-flows 30\n\
              departures prob 0.2\n"
         )).unwrap();
-        let serial = driver::run_oracle_knobs_at(
-            &spec, seed, driver::OracleMode::Sharded, None, driver::ParallelKnobs::default(),
-        ).unwrap().to_text();
-        let parallel = driver::run_oracle_knobs_at(
-            &spec, seed, driver::OracleMode::Sharded, None,
-            driver::ParallelKnobs { fill_threads, ..Default::default() },
-        ).unwrap().to_text();
+        let serial = run(&spec, seed).unwrap().to_text();
+        let config = RunConfig { fill_threads, ..Default::default() };
+        let parallel = run_with(&spec, seed, &config).unwrap().0.to_text();
         prop_assert_eq!(&serial, &parallel, "fill_threads={} changed the log", fill_threads);
     }
 }
@@ -219,7 +225,7 @@ fn incremental_peek_matches_full_recompute_across_catalog_inputs() {
             _ => 120,
         };
         for seed in [spec.seed, spec.seed + 1, spec.seed + 2] {
-            let (topo, tm) = driver::inputs(&spec, seed).unwrap();
+            let (topo, tm) = driver::inputs_at(&spec, seed, None).unwrap();
             let n = tm.len() as u64;
             let n_links = topo.link_count() as u64;
             let base_caps: Vec<Bandwidth> = topo.links().map(|l| topo.capacity(l)).collect();
@@ -316,8 +322,8 @@ fn incremental_and_full_measurement_logs_are_identical() {
             &[spec.seed, spec.seed ^ 0xBEEF]
         };
         for &seed in seeds {
-            let inc = run_with(&spec, seed, true).unwrap().to_text();
-            let full = run_with(&spec, seed, false).unwrap().to_text();
+            let inc = run(&spec, seed).unwrap().to_text();
+            let full = run_with(&spec, seed, &full_oracle()).unwrap().0.to_text();
             assert_eq!(
                 inc, full,
                 "{name} seed {seed}: incremental measurement diverged from the full-recompute oracle"
@@ -497,9 +503,7 @@ proptest! {
             run(&dark_spec, seed).unwrap().to_text(),
             "blackout run must replay byte-identically"
         );
-        let full = driver::run_oracle_at(&dark_spec, seed, driver::OracleMode::Full, None)
-            .unwrap()
-            .to_text();
+        let full = run_with(&dark_spec, seed, &full_oracle()).unwrap().0.to_text();
         prop_assert_eq!(dark.to_text(), full, "full oracle must agree bitwise");
     }
 }

@@ -212,26 +212,10 @@ impl Fabric {
             .unwrap_or_default()
     }
 
-    /// Replaces the ground-truth traffic matrix (demand drift).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the new matrix has a different aggregate count — the
-    /// fabric's counters and rules are indexed by aggregate id.
-    pub fn set_true_tm(&mut self, tm: TrafficMatrix) {
-        assert_eq!(
-            tm.len(),
-            self.true_tm.len(),
-            "aggregate population must be stable across drift"
-        );
-        self.true_tm = tm;
-        self.dirty_all = true;
-    }
-
-    /// Sets one aggregate's live flow count (a single churn event, as
-    /// opposed to the whole-matrix [`Fabric::set_true_tm`]). Zero parks
-    /// the aggregate as *idle*: it keeps its id, counters, and installed
-    /// rules, but contributes no traffic until flows arrive again.
+    /// Sets one aggregate's live flow count (a single churn event). Zero
+    /// parks the aggregate as *idle*: it keeps its id, counters, and
+    /// installed rules, but contributes no traffic until flows arrive
+    /// again.
     pub fn set_flow_count(&mut self, id: AggregateId, flows: u32) {
         self.true_tm.set_flow_count(id, flows);
         self.mark_aggregate(id);
@@ -864,29 +848,6 @@ mod tests {
             .shortest_path(l.src, l.dst, &LinkSet::new())
             .unwrap();
         assert!(!p.uses_link(link));
-    }
-
-    #[test]
-    fn drift_requires_stable_population() {
-        let mut f = fixture();
-        let tm2 = TrafficMatrix::new(vec![Aggregate::new(
-            AggregateId(0),
-            NodeId(0),
-            NodeId(2),
-            TrafficClass::BulkTransfer,
-            20,
-        )]);
-        f.set_true_tm(tm2);
-        let r = f.run_epoch();
-        assert_eq!(f.counters()[0].flows_last_epoch, 20);
-        let _ = r;
-    }
-
-    #[test]
-    #[should_panic(expected = "stable")]
-    fn population_change_rejected() {
-        let mut f = fixture();
-        f.set_true_tm(TrafficMatrix::new(vec![]));
     }
 
     #[test]

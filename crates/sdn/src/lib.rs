@@ -5,22 +5,25 @@
 //! periodically adjust the distribution of traffic on paths", with an
 //! online component admitting flows to the computed paths.
 //!
-//! This crate simulates that environment end to end so the closed loop
-//! can be exercised and failure-injected without hardware:
+//! This crate simulates that environment so the controller can be
+//! exercised and failure-injected without hardware:
 //!
 //! * [`RuleSet`] — installed forwarding state: weighted path buckets per
 //!   aggregate (OpenFlow group-table style);
-//! * [`Fabric`] — the data plane: maps *true* (possibly drifted) traffic
-//!   onto installed rules, enforces link failures with IGP-style
-//!   fallback, evaluates the shared flow model, accumulates counters;
+//! * [`Fabric`] — the data plane: maps *true* traffic onto installed
+//!   rules, enforces link failures with IGP-style fallback, evaluates
+//!   the shared flow model, accumulates counters;
 //! * [`Estimator`] — the measurement pipeline: noisy counters, EWMA
 //!   smoothing, and demand-peak inference (paper §2.2);
-//! * [`FubarController`] / [`ClosedLoop`] — periodic re-optimization
-//!   with drift and scheduled failures; each run warm-starts from the
-//!   previously installed allocation so path sets carry across epochs.
+//! * [`FubarController`] — one re-optimization on the estimated matrix,
+//!   warm-started from the previously installed allocation so path sets
+//!   carry across runs.
+//!
+//! The periodic loop around them — churn, failures, measurement epochs
+//! and the re-optimization cadence — is `fubar-scenario`'s event engine.
 //!
 //! ```
-//! use fubar_sdn::{ClosedLoop, ClosedLoopConfig, Fabric};
+//! use fubar_sdn::{Estimator, Fabric, FubarController, MeasurementConfig};
 //! use fubar_topology::{generators, Bandwidth, Delay};
 //! use fubar_traffic::{workload, WorkloadConfig};
 //!
@@ -30,28 +33,30 @@
 //!     flow_count: (2, 6),
 //!     ..Default::default()
 //! }, 7);
-//! let fabric = Fabric::new(topo, tm, Delay::from_secs(30.0));
-//! let mut sim = ClosedLoop::new(fabric, ClosedLoopConfig::default());
-//! let log = sim.run(4);
-//! assert_eq!(log.len(), 4);
+//! let mut fabric = Fabric::new(topo, tm, Delay::from_secs(30.0));
+//! let mut estimator = Estimator::new(fabric.true_tm().len(), MeasurementConfig::default(), 1);
+//!
+//! // Measure the shortest-path boot state, plan on the estimate, install.
+//! let boot = fabric.run_epoch();
+//! estimator.observe(fabric.counters(), fabric.epoch_duration());
+//! let estimated = estimator.estimated_matrix(fabric.true_tm());
+//! let controller = FubarController::default();
+//! let first = controller.reoptimize(&fabric, &estimated, None);
+//! fabric.install(first.rules);
+//! assert!(fabric.run_epoch().report.network_utility >= boot.report.network_utility);
+//!
+//! // The next run warm-starts from the installed allocation.
+//! let next = controller.reoptimize(&fabric, &estimated, Some(&first.allocation));
+//! assert!(next.warm && !first.warm);
 //! ```
 #![forbid(unsafe_code)]
 
-pub mod admission;
-pub mod arrivals;
 mod controller;
 mod fabric;
 mod measurement;
 mod rules;
 
-pub use admission::{AdmissionController, FlowAssignment};
-pub use arrivals::{
-    sample_departures, sample_geometric, sample_poisson, ChurnConfig, ChurnRecord, ChurnSimulation,
-};
-pub use controller::{
-    ClosedLoop, ClosedLoopConfig, DriftConfig, FailureEvent, FubarController, LoopRecord,
-    Reoptimization,
-};
+pub use controller::{FubarController, Reoptimization};
 pub use fabric::{AggregateCounter, EpochReport, Fabric};
 pub use measurement::{AggregateEstimate, Estimator, MeasurementConfig};
 pub use rules::{GroupEntry, RuleSet};

@@ -1,91 +1,77 @@
 //! The deployment story (paper §2.1, §5): FUBAR as a periodic offline
 //! controller over a simulated SDN fabric, with noisy measurement,
-//! demand drift, and a mid-run fiber cut.
+//! Poisson flow churn, and a mid-run fiber cut — a `.scn` timeline run
+//! through the scenario driver.
 //!
 //! Run with: `cargo run --release --example sdn_closed_loop`
 
 use fubar::prelude::*;
-use fubar::sdn::{DriftConfig, FailureEvent, MeasurementConfig};
-use fubar::topology::generators;
-use fubar::traffic::workload;
+use fubar::scenario::{driver, RunConfig};
+
+/// A mid-size research backbone with tight links so the controller has
+/// real work to do. The Denver–KansasCity trunk is cut at 200 s and
+/// repaired at 380 s; the controller re-optimizes at 60 s, 150 s,
+/// 240 s, ...
+const SPEC: &str = "\
+scenario sdn_closed_loop
+topology abilene 3Mbps
+duration 540s
+epoch 30s
+seed 11
+workload flows 3 10
+reoptimize every 90s warmup 60s
+arrivals rate 0.05 max-flows 12
+departures prob 0.05
+at 200s fail Denver KansasCity
+at 380s repair Denver KansasCity
+";
 
 fn main() {
-    // A mid-size research backbone with tight links so the controller
-    // has real work to do.
-    let topo = generators::abilene(Bandwidth::from_mbps(3.0));
-    let tm = workload::generate(
-        &topo,
-        &WorkloadConfig {
-            include_intra_pop: false,
-            flow_count: (3, 10),
-            ..Default::default()
-        },
-        11,
-    );
-    println!("{}", topo.summary());
-    println!("{} aggregates, demand {}", tm.len(), tm.total_demand());
-
-    // Cut the Denver-KansasCity trunk at epoch 8, repair at epoch 14.
-    let cut = topo
-        .graph()
-        .find_link(
-            topo.node("Denver").unwrap(),
-            topo.node("KansasCity").unwrap(),
-        )
-        .expect("abilene has this trunk");
-
-    let fabric = Fabric::new(topo, tm, Delay::from_secs(30.0));
-    let mut sim = ClosedLoop::new(
-        fabric,
-        ClosedLoopConfig {
-            measurement: MeasurementConfig {
-                noise_rel_std: 0.08,
-                ..Default::default()
-            },
-            controller: FubarController {
-                reoptimize_every: 3,
-                warmup_epochs: 2,
-                ..Default::default()
-            },
-            drift: Some(DriftConfig {
-                max_step: 1,
-                min_flows: 2,
-                max_flows: 12,
-            }),
-            failures: vec![FailureEvent {
-                fail_epoch: 8,
-                repair_epoch: Some(14),
-                link: cut,
-            }],
-            blackouts: Vec::new(),
-            seed: 3,
-        },
+    let spec = Scenario::parse(SPEC).expect("spec parses");
+    let engine = driver::build(&spec, spec.seed, &RunConfig::default()).expect("spec builds");
+    let (log, _, consumer) = engine.run_instrumented(&spec.name, spec.seed);
+    let fabric = consumer.fabric();
+    println!("{}", fabric.topology().summary());
+    println!(
+        "{} aggregates, demand {}",
+        fabric.true_tm().len(),
+        fabric.true_tm().total_demand()
     );
 
-    println!("epoch,utility,congested_links,failed_links,fallbacks,reoptimized");
-    let log = sim.run(18);
-    for r in &log {
+    println!("time_s,utility,congested_links,failed_links,live_flows,event");
+    for r in log.records.iter().filter(|r| {
+        r.what.starts_with("epoch") || r.commits.is_some() || r.what.starts_with("fail")
+    }) {
         println!(
             "{},{:.4},{},{},{},{}",
-            r.epoch.epoch,
-            r.epoch.report.network_utility,
-            r.epoch.outcome.congested.len(),
-            r.failed_links,
-            r.epoch.fallback_count,
-            r.reoptimized
+            r.time_s, r.utility, r.congested_links, r.failed_links, r.live_flows, r.what
         );
     }
 
-    let before_cut = log[7].epoch.report.network_utility;
-    let during_cut = log[8].epoch.report.network_utility;
-    let after_repair = log[16].epoch.report.network_utility;
+    let epoch_utility = |t: f64| {
+        log.records
+            .iter()
+            .find(|r| r.what.starts_with("epoch") && r.time_s == t)
+            .expect("epoch closes")
+            .utility
+    };
+    let before_cut = epoch_utility(180.0);
+    let stale = epoch_utility(210.0);
+    let rerouted = epoch_utility(270.0);
+    let after_repair = epoch_utility(510.0);
     println!(
-        "fiber cut at epoch 8: utility {before_cut:.4} -> {during_cut:.4} \
-         (capacity is really gone; the controller reroutes so nothing \
-         black-holes), back to {after_repair:.4} after the repair at epoch 14"
+        "fiber cut at 200s: utility {before_cut:.4} -> {stale:.4} on the stale \
+         rules (the fabric falls back to live shortest paths, so nothing \
+         black-holes), {rerouted:.4} after the 240s re-optimization, \
+         {after_repair:.4} after the repair at 380s"
+    );
+    assert!(
+        log.records.iter().all(|r| r.utility > 0.0),
+        "the network must never black-hole"
     );
     assert_eq!(
-        log[9].epoch.fallback_count, 0,
-        "first post-cut reoptimization must route around the failure"
+        fabric.peek_full().fallback_count,
+        0,
+        "the last re-optimization must leave no rule pointing at a dead link"
     );
 }

@@ -63,7 +63,8 @@
 //!     fill block is printed). `--parallel-passes` runs independent
 //!     greedy passes over isolated bottleneck components before the
 //!     global loop, on `--pass-threads N` workers: for a fixed flag
-//!     setting the log is byte-identical at any thread count.
+//!     setting the log is byte-identical at any thread count. It needs
+//!     incremental scoring, so it is refused with `--oracle full`.
 //!
 //! fubar-cli scenario search <name|file.scn> [--seed N] [--candidates K]
 //!                           [--name NAME] [--out file.scn]
@@ -442,9 +443,11 @@ fn cmd_scenario_run(args: &[String]) -> CliResult {
     let (spec, base) = load_scenario(&args[1])?;
     let mut seed = spec.seed;
     let mut out: Option<String> = None;
-    let mut mode = fubar::scenario::OracleMode::Sharded;
     let mut stats = false;
-    let mut knobs = fubar::scenario::ParallelKnobs::default();
+    let mut config = fubar::scenario::RunConfig {
+        base,
+        ..Default::default()
+    };
     let positive = |flag: &str, v: Option<&String>| -> Result<usize, CliError> {
         let n: usize = v
             .ok_or_else(|| CliError::usage(format!("{flag} needs a thread count")))?
@@ -459,14 +462,14 @@ fn cmd_scenario_run(args: &[String]) -> CliResult {
     while i < args.len() {
         match args[i].as_str() {
             "--stats" => stats = true,
-            "--parallel-passes" => knobs.parallel_passes = true,
+            "--parallel-passes" => config.parallel_passes = true,
             "--fill-threads" => {
                 i += 1;
-                knobs.fill_threads = positive("--fill-threads", args.get(i))?;
+                config.fill_threads = positive("--fill-threads", args.get(i))?;
             }
             "--pass-threads" => {
                 i += 1;
-                knobs.pass_threads = positive("--pass-threads", args.get(i))?;
+                config.pass_threads = positive("--pass-threads", args.get(i))?;
             }
             "--seed" => {
                 i += 1;
@@ -486,7 +489,7 @@ fn cmd_scenario_run(args: &[String]) -> CliResult {
             }
             "--oracle" => {
                 i += 1;
-                mode = match args
+                config.oracle = match args
                     .get(i)
                     .ok_or_else(|| CliError::usage("--oracle needs sharded|flat|full"))?
                     .as_str()
@@ -508,19 +511,13 @@ fn cmd_scenario_run(args: &[String]) -> CliResult {
         }
         i += 1;
     }
-    let base = base.as_deref();
-    let (log, run_stats) = if stats {
-        let (log, s) =
-            fubar::scenario::run_with_stats_oracle_knobs_at(&spec, seed, mode, base, knobs)
-                .map_err(|e| CliError::data(e.to_string()))?;
-        (log, Some(s))
-    } else {
-        (
-            fubar::scenario::run_oracle_knobs_at(&spec, seed, mode, base, knobs)
-                .map_err(|e| CliError::data(e.to_string()))?,
-            None,
-        )
-    };
+    if config.parallel_passes && config.oracle == fubar::scenario::OracleMode::Full {
+        return Err(CliError::usage(
+            "--parallel-passes needs incremental scoring; it cannot run with --oracle full",
+        ));
+    }
+    let (log, run_stats) = fubar::scenario::run_with(&spec, seed, &config)
+        .map_err(|e| CliError::data(e.to_string()))?;
     match out {
         Some(path) => {
             write_file(&path, &log.to_text())?;
@@ -529,8 +526,8 @@ fn cmd_scenario_run(args: &[String]) -> CliResult {
         None => print!("{}", log.to_text()),
     }
     eprintln!("{}", log.summary());
-    if let Some(s) = run_stats {
-        eprintln!("{}", s.render());
+    if stats {
+        eprintln!("{}", run_stats.render());
     }
     Ok(())
 }

@@ -57,6 +57,23 @@ fn unknown_flags_and_subcommands_exit_2() {
 }
 
 #[test]
+fn parallel_passes_with_the_full_oracle_is_a_usage_error() {
+    // The full-recompute oracle cannot run per-component passes; the
+    // pair is refused before anything runs instead of silently running
+    // the plain loop.
+    for flags in [
+        ["--oracle", "full", "--parallel-passes"],
+        ["--parallel-passes", "--oracle", "full"],
+    ] {
+        let args = [&["scenario", "run", "flash_crowd"][..], &flags].concat();
+        let out = cli(&args);
+        assert_eq!(code(&out), 2, "{args:?}: {}", stderr(&out));
+        assert_one_line_error(&out);
+        assert!(out.stdout.is_empty(), "{args:?}: no log may be written");
+    }
+}
+
+#[test]
 fn unknown_names_and_missing_files_exit_66() {
     for args in [
         &["scenario", "show", "no_such_scenario"][..],
